@@ -19,11 +19,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_FILE = 3
 
+DEFAULT_TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class CliConfig:
     command: str
-    tolerance: float = 1e-10
+    tolerance: float = DEFAULT_TOLERANCE
     format: str = "text"
     system_path: str | None = None
     measurement: PairKind = PairKind.B
@@ -162,20 +164,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tolerance", type=float, default=1e-10, help="numeric tolerance (default 1e-10)")
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="numeric tolerance (default 1e-10)")
+        add_format(p)
 
     add_common(sub.add_parser("verify-ghz", help="operator-algebra argument on three pairs"))
     add_common(sub.add_parser("verify-hardy", help="probability argument on two pairs"))
-    add_common(sub.add_parser("verify-ks", help="exhaustive search over both built-in value-assignment systems"))
+    # The searches compare values at their own fixed relative tolerance.
+    add_format(sub.add_parser("verify-ks", help="exhaustive search over both built-in value-assignment systems"))
 
     swap = sub.add_parser("demo-swap", help="entanglement-swapping post-selection demo")
     add_common(swap)
     swap.add_argument("--measurement", choices=("A", "B"), default="B", help="middle-pair observable (default B)")
 
     check = sub.add_parser("check-system", help="search a user-supplied context-system JSON document")
-    add_common(check)
+    add_format(check)
     check.add_argument("system_path", help="path to the context-system document")
     check.add_argument("--budget", type=int, default=ks_search.DEFAULT_BUDGET, help="enumeration budget")
 
@@ -186,11 +192,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tolerance <= 0:
+    tolerance = getattr(args, "tolerance", DEFAULT_TOLERANCE)
+    if tolerance <= 0:
         parser.error("--tolerance must be positive")
     config = CliConfig(
         command=args.command,
-        tolerance=args.tolerance,
+        tolerance=tolerance,
         format=args.format,
         system_path=getattr(args, "system_path", None),
         measurement=PairKind(getattr(args, "measurement", "B")),

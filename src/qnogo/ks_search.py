@@ -16,7 +16,12 @@ The search enumerates every assignment of spectrum values to the free
 observables (those not fixed by a ``product_equals`` relation), derives
 the determined ones, and reports whether any assignment satisfies all
 contexts.  Enumeration order is lexicographic over declared observable
-order with each spectrum ascending, so reports are deterministic.
+order with each spectrum ascending, so reports are deterministic.  The
+enumeration is chunked and vectorized: blocks of 4096 assignments are
+decoded into numpy value columns and every constraint is evaluated on
+whole columns, well under a microsecond per assignment on the built-in
+systems.  Enumeration order and violation attribution are those of a
+one-assignment-at-a-time walk, so reports are unchanged by the blocking.
 
 Systems round-trip through a JSON-shaped document::
 
@@ -38,7 +43,7 @@ sign/parity reading, and both are unsatisfiable.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -52,6 +57,13 @@ from .tensor_core import commutator_norm, matmul, max_abs, spectrum
 DEFAULT_BUDGET = 10_000_000
 
 _VALUE_RTOL = 1e-9
+
+# Assignments evaluated per vectorized block: of 2^10 to 2^14, 4096 ran
+# the benchmark's planted search documents fastest.
+_BLOCK_ROWS = 4096
+
+# Assignment indices are int64, which caps any budget.
+_MAX_ENUMERATION = 2**63 - 1
 
 
 class SystemFormatError(ValueError):
@@ -250,6 +262,66 @@ def check_assignment(system: ContextSystem, values: Mapping[str, float]) -> int 
     return None
 
 
+def _close_columns(a, b) -> np.ndarray:
+    """Elementwise :func:`_values_close`, with the same float operations."""
+    return np.abs(a - b) <= _VALUE_RTOL * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
+def _column_product(columns: Mapping[str, np.ndarray], ids: tuple[str, ...], rows: int) -> np.ndarray:
+    """Row-wise product of the member columns, multiplied in member order."""
+    if not ids:
+        return np.ones(rows)
+    prod = columns[ids[0]]
+    for m in ids[1:]:
+        prod = prod * columns[m]
+    return prod
+
+
+def _columns_violated(ctx: Context, columns: Mapping[str, np.ndarray], rows: int) -> np.ndarray:
+    """Row mask of :func:`_context_violated` over a block of assignments."""
+    kind = ctx.constraint.kind
+    if kind == "product_equals":
+        det = str(ctx.constraint.arg)
+        rest = _column_product(columns, tuple(m for m in ctx.member_ids if m != det), rows)
+        return ~_close_columns(rest, columns[det])
+    prod = _column_product(columns, ctx.member_ids, rows)
+    if kind == "product_sign":
+        return (prod == 0.0) | ((prod > 0.0) != (ctx.constraint.arg > 0.0))
+    return ~_close_columns(prod, float(ctx.constraint.arg))
+
+
+def _first_violations(
+    system: ContextSystem,
+    columns: dict[str, np.ndarray],
+    det_steps: list[tuple[str, int, tuple[str, ...], tuple[float, ...]]],
+    rows: int,
+) -> np.ndarray:
+    """Index of the first violated context per row, -1 where none is.
+
+    Determined observables are computed in topological order and added to
+    ``columns``; a row whose product lands on no spectrum value is charged
+    to the determining context (its column holds NaN there) and nothing
+    computed for it afterwards changes that.  Contexts are then checked in
+    declared order.
+    """
+    first = np.full(rows, -1, dtype=np.int64)
+    for det, ctx_index, factors, spectrum_values in det_steps:
+        prod = _column_product(columns, factors, rows)
+        snapped = np.full(rows, np.nan)
+        # Reversed, so the first close value in declared order is written last.
+        for value in reversed(spectrum_values):
+            snapped[_close_columns(prod, value)] = value
+        columns[det] = snapped
+        first[(first < 0) & np.isnan(snapped)] = ctx_index
+    for i, ctx in enumerate(system.contexts):
+        first[(first < 0) & _columns_violated(ctx, columns, rows)] = i
+    return first
+
+
+def _histogram(counts: np.ndarray) -> dict[int, int]:
+    return {i: int(c) for i, c in enumerate(counts) if c}
+
+
 def search(system: ContextSystem, budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exhaustive satisfiability search over noncontextual value assignments.
 
@@ -260,55 +332,61 @@ def search(system: ContextSystem, budget: int = DEFAULT_BUDGET) -> SearchReport:
     satisfying assignment in enumeration order and ``assignments_checked``
     counts assignments up to and including it; on failure the full
     enumeration size is reported.
+
+    Enumeration is chunked and vectorized: blocks of consecutive
+    mixed-radix indices are decoded into one value column per free
+    observable and every constraint is evaluated on whole columns.  The
+    enumeration order, the float arithmetic and the first-violation
+    attribution are those of a one-assignment-at-a-time walk, so the
+    report is the same in every field.
     """
     determined, topo = _determination_plan(system)
     free = [o for o in system.observables if o.id not in determined]
-    domains = [tuple(sorted(o.spectrum)) for o in free]
-    total = math.prod(len(d) for d in domains) if domains else 1
-    if total > budget:
-        raise SearchBudgetError(f"enumeration size {total} exceeds budget {budget}")
+    total = math.prod(len(o.spectrum) for o in free)
+    limit = min(budget, _MAX_ENUMERATION)
+    if total > limit:
+        raise SearchBudgetError(f"enumeration size {total} exceeds budget {limit}")
 
+    domains = [np.array(sorted(o.spectrum)) for o in free]
+    # Mixed-radix place values, the last free observable varying fastest as
+    # in itertools.product.
+    strides = [math.prod(len(d) for d in domains[j + 1 :]) for j in range(len(domains))]
     det_steps = []
     for det in topo:
         ctx_index, factors = determined[det]
-        spectrum_values = system.observable(det).spectrum
-        det_steps.append((det, ctx_index, factors, spectrum_values))
+        det_steps.append((det, ctx_index, factors, system.observable(det).spectrum))
 
-    free_ids = [o.id for o in free]
-    histogram: dict[int, int] = {}
-    checked = 0
-    for combo in itertools.product(*domains) if domains else [()]:
-        checked += 1
-        values = dict(zip(free_ids, combo))
-        violated: int | None = None
-        for det, ctx_index, factors, spectrum_values in det_steps:
-            prod = 1.0
-            for f in factors:
-                prod *= values[f]
-            snapped = next((s for s in spectrum_values if _values_close(prod, s)), None)
-            if snapped is None:
-                violated = ctx_index
-                break
-            values[det] = snapped
-        if violated is None:
-            for i, ctx in enumerate(system.contexts):
-                if _context_violated(ctx, values):
-                    violated = i
-                    break
-        if violated is None:
-            ordered = {o.id: values[o.id] for o in system.observables}
-            return SearchReport(
-                satisfiable=True,
-                assignments_checked=checked,
-                witness=ordered,
-                first_violated_context_histogram=dict(sorted(histogram.items())),
-            )
-        histogram[violated] = histogram.get(violated, 0) + 1
+    counts = np.zeros(len(system.contexts), dtype=np.int64)
+    # Overflow, underflow and inf - inf follow IEEE rules silently, as
+    # Python float arithmetic does.
+    with np.errstate(all="ignore"):
+        for start in range(0, total, _BLOCK_ROWS):
+            index = np.arange(start, min(start + _BLOCK_ROWS, total))
+            # Digit j is index // stride_j - radix_j * (index // stride_{j-1}),
+            # which spares the slow integer modulo.
+            columns = {}
+            outer = 0
+            for o, domain, stride in zip(free, domains, strides):
+                quotient = index // stride
+                columns[o.id] = domain[quotient - len(domain) * outer]
+                outer = quotient
+            first = _first_violations(system, columns, det_steps, len(index))
+            satisfying = np.flatnonzero(first < 0)
+            if satisfying.size:
+                row = int(satisfying[0])
+                counts += np.bincount(first[:row], minlength=len(counts))
+                return SearchReport(
+                    satisfiable=True,
+                    assignments_checked=start + row + 1,
+                    witness={o.id: float(columns[o.id][row]) for o in system.observables},
+                    first_violated_context_histogram=_histogram(counts),
+                )
+            counts += np.bincount(first, minlength=len(counts))
     return SearchReport(
         satisfiable=False,
         assignments_checked=total,
         witness=None,
-        first_violated_context_histogram=dict(sorted(histogram.items())),
+        first_violated_context_histogram=_histogram(counts),
     )
 
 
@@ -395,6 +473,16 @@ def _nearest_power_of_four(value: float) -> float:
     return float(4.0**n)
 
 
+def _ordered_product(mats: Mapping[str, np.ndarray], ids: tuple[str, ...]) -> np.ndarray:
+    """Matrix product of the members ``ids``, multiplied left to right.
+
+    The empty product is the identity, as the search takes it to be 1.
+    """
+    if not ids:
+        return np.eye(next(iter(mats.values())).shape[0], dtype=complex)
+    return functools.reduce(matmul, (mats[m] for m in ids))
+
+
 def validate_against_matrices(
     system: ContextSystem,
     bindings: Mapping[str, np.ndarray],
@@ -429,11 +517,7 @@ def validate_against_matrices(
 
         if ctx.constraint.kind == "product_equals":
             det = str(ctx.constraint.arg)
-            prod = None
-            for m in members:
-                if m == det:
-                    continue
-                prod = mats[m] if prod is None else matmul(prod, mats[m])
+            prod = _ordered_product(mats, tuple(m for m in members if m != det))
             checks.append(
                 make_check(
                     f"context {i}: {det} equals ordered product of its factors",
@@ -442,14 +526,9 @@ def validate_against_matrices(
                     tol,
                 )
             )
-            full = None
-            for m in members:
-                full = mats[m] if full is None else matmul(full, mats[m])
-            line_products.append((i, full))
+            line_products.append((i, _ordered_product(mats, members)))
         elif ctx.constraint.kind == "product_sign":
-            full = None
-            for m in members:
-                full = mats[m] if full is None else matmul(full, mats[m])
+            full = _ordered_product(mats, members)
             sign_word = "negative" if ctx.constraint.arg < 0 else "positive"
             clusters = spectrum(full, cluster_tol=cluster_tol, tol=tol).distinct()
             wrong = sum(1 for v in clusters if (v < 0.0) != (ctx.constraint.arg < 0.0))

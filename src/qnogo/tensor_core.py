@@ -50,11 +50,6 @@ def as_state(v) -> np.ndarray:
     return a
 
 
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_operator(m).conj().T
-
-
 def max_abs(m) -> float:
     """Largest entry modulus; the norm used by entrywise comparisons."""
     return float(np.abs(m).max())

@@ -159,6 +159,13 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
 
+    # the searches use a fixed tolerance, so the flag is refused, not ignored
+    for argv in (["verify-ks", "--tolerance", "1e-9"], ["check-system", "system.json", "--tolerance", "1e-9"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
 
 def test_failed_checks_exit_1(monkeypatch, capsys):
     failing = make_report("hardy", [make_check("forced failure", 1.0, 0.0, 0.0)])

@@ -3,12 +3,19 @@ document round-trip."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qnogo import ks_search as ks
-from testutil import brute_force_satisfiable, make_system, random_system
+from testutil import (
+    brute_force_satisfiable,
+    make_system,
+    random_determined_system,
+    random_system,
+    reference_search,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +167,150 @@ def test_randomized_systems_permutation_invariant(seed):
 
 
 # ---------------------------------------------------------------------------
+# the vectorized engine against the one-assignment-at-a-time reference
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_search_matches_reference_on_random_systems(seed):
+    rng = np.random.default_rng(5000 + seed)
+    for system in (random_system(rng), random_determined_system(rng)):
+        assert ks.search(system) == reference_search(system)
+
+
+@pytest.mark.parametrize("builder", [ks.state_dependent_system, ks.state_independent_system])
+def test_search_matches_reference_on_builtins(builder):
+    for system in (builder(), ks.sign_collapsed(builder())):
+        assert ks.search(system) == reference_search(system)
+
+
+def test_chained_and_repeated_product_equals_match_reference():
+    # c is determined from b, b from a; the second b-line only constrains.
+    observables = [("c", (-2.0, 2.0, 4.0)), ("a", (-2.0, -1.0, 1.0, 2.0)), ("b", (-4.0, 2.0, 4.0)), ("e", (-1.0, 1.0))]
+    contexts = [
+        (("b", "c", "e"), ks.product_equals("c")),
+        (("a", "a2", "b"), ks.product_equals("b")),
+        (("e", "b", "a"), ks.product_equals("b")),
+        (("c", "e"), ks.product_sign(1)),
+    ]
+    system = make_system(observables + [("a2", (1.0, 2.0))], contexts)
+    report = ks.search(system)
+    assert report == reference_search(system)
+    assert report.satisfiable
+    assert ks.check_assignment(system, report.witness) is None
+
+
+@pytest.mark.parametrize("spectrum", [(1.0 + 1e-12, 1.0), (1.0, 1.0 + 1e-12)])
+def test_snap_takes_first_close_value_in_declared_order(spectrum):
+    system = make_system([("a", (1.0,)), ("d", spectrum)], [(("a", "d"), ks.product_equals("d"))])
+    report = ks.search(system)
+    assert report == reference_search(system)
+    assert report.witness == {"a": 1.0, "d": spectrum[0]}
+
+
+def _pinned_system(rank: int) -> ks.ContextSystem:
+    """Twelve free observables (radices 3, 2, ..., 2: 6144 assignments, one
+    and a half blocks) with the assignment of the given rank pinned by
+    single-member value lines, so it is the only witness."""
+    spectra = [(-1.0, 1.0, 2.0)] + [(-1.0, 1.0)] * 11
+    digits = []
+    for spectrum in reversed(spectra):
+        rank, digit = divmod(rank, len(spectrum))
+        digits.append(digit)
+    pins = [sorted(s)[d] for s, d in zip(spectra, reversed(digits))]
+    ids = [f"x{i}" for i in range(len(spectra))]
+    return make_system(
+        list(zip(ids, spectra)),
+        [((i,), ks.product_equals_value(v)) for i, v in zip(ids, pins)],
+    )
+
+
+@pytest.mark.parametrize("rank", [0, 4095, 4096, 5000, 6143])
+def test_multi_block_witness_matches_reference(rank):
+    system = _pinned_system(rank)
+    report = ks.search(system)
+    assert report == reference_search(system)
+    assert report.satisfiable
+    assert report.assignments_checked == rank + 1
+    assert sum(report.first_violated_context_histogram.values()) == rank
+
+
+def test_multi_block_unsat_matches_reference():
+    base = _pinned_system(6143)
+    contexts = base.contexts + (ks.Context(("x0", "x11"), ks.product_sign(-1)),)
+    system = ks.ContextSystem(base.observables, contexts)
+    report = ks.search(system)
+    assert report == reference_search(system)
+    assert not report.satisfiable
+    assert report.assignments_checked == 6144
+
+
+@pytest.mark.parametrize("spectrum, satisfiable", [((-1.0, 1.0), True), ((2.0,), False)])
+def test_zero_free_observables(spectrum, satisfiable):
+    # The empty factor product is 1.0: a hit for {-1, 1}, a miss for {2}.
+    system = make_system([("d", spectrum)], [(("d",), ks.product_equals("d"))])
+    report = ks.search(system)
+    assert report == reference_search(system)
+    assert report.satisfiable is satisfiable
+    assert report.assignments_checked == 1
+
+
+def test_overflowing_products_match_reference():
+    # 1e200 * 1e200 overflows to inf and 1e-200 * 1e-200 underflows to 0,
+    # silently in Python floats; the columns must agree without warnings.
+    big = (-1e200, 1e-200, 1e200)
+    system = make_system(
+        [("a", big), ("b", big), ("c", (-1.0, 1.0)), ("d", (1.0, 2.0)), ("e", (-1.0, 1.0))],
+        [
+            (("a", "b", "e"), ks.product_equals("e")),
+            (("a", "b"), ks.product_sign(1)),
+            (("a", "b", "c"), ks.product_sign(-1)),
+            (("a", "b", "d"), ks.product_equals_value(1e300)),
+            (("c",), ks.product_equals_value(2.0)),  # forces full enumeration
+        ],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ks.search(system)
+    assert report == reference_search(system)
+    assert len(report.first_violated_context_histogram) > 2
+
+
+def test_budget_boundary(monkeypatch):
+    system = make_system([(f"x{i}", (-2.0, -1.0, 1.0, 2.0)) for i in range(5)], [])
+    assert ks.search(system, budget=4**5).satisfiable
+    monkeypatch.setattr(ks, "np", None)  # any array work would now fail
+    with pytest.raises(ks.SearchBudgetError):
+        ks.search(system, budget=4**5 - 1)
+
+
+def test_budget_capped_at_int64_indices():
+    system = make_system([(f"x{i}", (-2.0, -1.0, 1.0, 2.0)) for i in range(31)], [])
+    assert ks.search(system, budget=10**30).assignments_checked == 1  # 4^31 = 2^62 fits
+    system = make_system([(f"x{i}", (-2.0, -1.0, 1.0, 2.0)) for i in range(32)], [])
+    with pytest.raises(ks.SearchBudgetError, match="exceeds budget"):
+        ks.search(system, budget=10**30)
+
+
+def test_4pow10_unsat_histogram():
+    # Ten four-valued observables, each on two sign lines; the required
+    # signs multiply to -1.  Only signs matter, so every sign pattern of the
+    # two-valued copy stands for 2^10 magnitude patterns.
+    lines = ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 0, 4), (1, 5, 8, 6), (2, 3, 7, 9))
+    system = make_system(
+        [(f"X{i}", (-2.0, -1.0, 1.0, 2.0)) for i in range(10)],
+        [([f"X{i}" for i in line], ks.product_sign(-1 if k == 4 else 1)) for k, line in enumerate(lines)],
+    )
+    report = ks.search(system)
+    assert not report.satisfiable
+    assert report.assignments_checked == 4**10
+    assert sum(report.first_violated_context_histogram.values()) == 4**10
+    signs = reference_search(ks.sign_collapsed(system))
+    assert report.first_violated_context_histogram == {
+        k: 2**10 * v for k, v in signs.first_violated_context_histogram.items()
+    }
+
+
+# ---------------------------------------------------------------------------
 # matrix validation
 
 
@@ -182,6 +333,14 @@ def test_validate_detects_wrong_binding():
     assert not report.overall
     failed = [c for c in report.checks if not c.passed]
     assert any("A12A34B56 equals ordered product" in c.name for c in failed)
+
+
+def test_validate_factorless_line_compares_with_identity():
+    system = make_system([("d", (-1.0, 1.0))], [(("d",), ks.product_equals("d"))])
+    assert ks.validate_against_matrices(system, {"d": np.eye(4)}).overall
+    report = ks.validate_against_matrices(system, {"d": -np.eye(4)})
+    failed = [c.name for c in report.checks if not c.passed]
+    assert "context 0: d equals ordered product of its factors" in failed
 
 
 def test_validate_requires_complete_bindings_and_matching_dims():
